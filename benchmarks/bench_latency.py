@@ -140,5 +140,5 @@ def test_latency_percentiles_ordered(run_once):
     p999 = tracker.latency_percentile(0.999)
     assert 0.0 < p50 <= p99 <= p999 <= tracker.max_latency
     summary = tracker.summary()
-    for key in ("latency_p50", "latency_p99", "latency_p999", "latency_max"):
+    for key in ("latency_p50", "latency_p99", "latency_p999", "latency_event_max"):
         assert key in summary

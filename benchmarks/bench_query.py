@@ -13,6 +13,10 @@ Three claims about the query engine this PR adds:
 * **Reads are exact and free of side effects** — every cursor read matches
   the reference model and leaves the layout digest untouched (hard
   asserts).
+* **Batched wide scans beat the cursor** — ``range_ranks`` /
+  ``count_ranges`` answer a fixed set of quarter-width windows faster
+  than draining the cross-shard cursor, with identical answers (hard
+  assert; the speedup is ``expect``-demoted in quick mode).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from benchmarks.conftest import QUICK, emit, expect, scaled
 from repro.algorithms import ClassicalPMA
 from repro.analysis.reference import ChunkedList
 from repro.core import ShardedLabeler
+from repro.perf.scenarios import run_range_scan_batched
 
 
 #: Shrunk with the quick-mode n so the many-shard claims stay meaningful
@@ -222,3 +227,31 @@ def test_reads_match_reference_and_leave_layout_untouched(run_once):
 
     row = run_once(experiment)
     emit("E-QUERY: read/reference differential", [row])
+
+
+def test_range_ranks_beats_cursor_drain(run_once):
+    n = scaled(65536)
+
+    def experiment():
+        return run_range_scan_batched(n, 20260730)
+
+    metrics = run_once(experiment)
+    assert metrics["reads_match"] is True
+    emit(
+        f"E-QUERY: batched wide scans, n={n}",
+        [
+            {
+                "path": "cursor drain",
+                "elements_per_second": round(metrics["cursor_ops_per_second"]),
+            },
+            {
+                "path": "range_ranks + count_ranges",
+                "elements_per_second": round(metrics["ops_per_second"]),
+            },
+        ],
+        note=f"speedup over cursor drain: {metrics['speedup']:.2f}x",
+    )
+    expect(
+        metrics["speedup"] >= 1.2,
+        f"batched scan speedup {metrics['speedup']:.2f}x < 1.2x",
+    )

@@ -32,11 +32,7 @@ from repro.core.operations import (
 )
 from repro.core.interface import Cursor, ListLabeler
 from repro.core.physical import PhysicalArray, ReferencePhysicalArray
-from repro.core.cost import (
-    LATENCY_KEY_ALIASES,
-    CostTracker,
-    WindowStatistics,
-)
+from repro.core.cost import CostTracker, WindowStatistics
 from repro.core.embedding import Embedding
 from repro.core.layered import (
     LayeredLabeler,
@@ -44,7 +40,6 @@ from repro.core.layered import (
     make_corollary12_labeler,
 )
 from repro.core.interleaved import InterleavedComposition
-from repro.core.parallel import ShardPool
 from repro.core.sharded import ShardedLabeler
 
 __all__ = [
@@ -53,7 +48,6 @@ __all__ = [
     "COUNT_RANGE",
     "CapacityError",
     "CostTracker",
-    "LATENCY_KEY_ALIASES",
     "Cursor",
     "DELETE",
     "Embedding",
@@ -74,7 +68,6 @@ __all__ = [
     "PhysicalArray",
     "RankError",
     "ReferencePhysicalArray",
-    "ShardPool",
     "ShardedLabeler",
     "WindowStatistics",
     "make_corollary11_labeler",

@@ -38,15 +38,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-#: Historical latency-key spellings, kept as aliases of the canonical
-#: names (``latency_p*`` = per-operation view, ``latency_event_*`` =
-#: whole-event view).  :meth:`CostTracker.latency_summary` emits both, so
-#: committed BENCH documents written under either scheme still validate.
-LATENCY_KEY_ALIASES: dict[str, str] = {
-    "latency_max": "latency_event_max",
-}
-
-
 @dataclass(frozen=True)
 class WindowStatistics:
     """Cost statistics of the worst contiguous window of a fixed length."""
@@ -470,10 +461,7 @@ class CostTracker:
         ``latency_statistics()``, report tables): the canonical scheme is
         ``latency_p*`` for the weight-expanded per-operation view and
         ``latency_event_*`` for the whole-event view (a batch = one
-        sample).  :data:`LATENCY_KEY_ALIASES` keeps the historical
-        spellings (``latency_max`` for ``latency_event_max``) emitted
-        alongside, so committed BENCH documents and older dashboards keep
-        validating unchanged.
+        sample).
 
         All values are seconds and wall-clock derived — the benchmark
         comparator treats every ``latency_*`` metric as machine-dependent
@@ -490,8 +478,6 @@ class CostTracker:
             "latency_event_p999": self.event_latency_percentile(0.999),
             "latency_event_max": self.max_latency,
         }
-        for alias, canonical in LATENCY_KEY_ALIASES.items():
-            summary[alias] = summary[canonical]
         return summary
 
     # ------------------------------------------------------------------

@@ -50,7 +50,13 @@ import abc
 import math
 from typing import Hashable, Iterator, Sequence
 
-from repro.core.exceptions import BatchError, CapacityError, LabelerError, RankError
+from repro.core.exceptions import (
+    BatchError,
+    CapacityError,
+    LabelerError,
+    RankError,
+    is_rank,
+)
 from repro.core.operations import (
     DELETE,
     INSERT,
@@ -179,10 +185,11 @@ class ListLabeler(abc.ABC):
     def insert(self, rank: int, element: Hashable) -> OperationResult:
         """Insert ``element`` so that it becomes the ``rank``-th smallest.
 
-        Raises :class:`RankError` when ``rank`` is not in ``[1, size + 1]``
-        and :class:`CapacityError` when the structure is full.
+        Raises :class:`RankError` when ``rank`` is not an integer in
+        ``[1, size + 1]`` and :class:`CapacityError` when the structure is
+        full.
         """
-        if not 1 <= rank <= self._size + 1:
+        if not (is_rank(rank) and 1 <= rank <= self._size + 1):
             raise RankError(rank, self._size, INSERT)
         if self._size >= self._capacity:
             raise CapacityError(self._capacity)
@@ -193,9 +200,10 @@ class ListLabeler(abc.ABC):
     def delete(self, rank: int) -> OperationResult:
         """Delete the element of the given rank.
 
-        Raises :class:`RankError` when ``rank`` is not in ``[1, size]``.
+        Raises :class:`RankError` when ``rank`` is not an integer in
+        ``[1, size]``.
         """
-        if not 1 <= rank <= self._size:
+        if not (is_rank(rank) and 1 <= rank <= self._size):
             raise RankError(rank, self._size, DELETE)
         result = self._delete(rank)
         self._size -= 1
@@ -217,7 +225,7 @@ class ListLabeler(abc.ABC):
         sequence is the merge of the current contents with the batch.
 
         The whole batch is validated up front: :class:`BatchError` is raised
-        (before any element moves) when a rank falls outside
+        (before any element moves) when a rank is not an integer in
         ``[1, size + 1]`` or the batch would exceed the capacity.
 
         The default implementation loops over singleton :meth:`insert` calls;
@@ -235,9 +243,10 @@ class ListLabeler(abc.ABC):
 
         Ranks are interpreted against the state before the call; duplicates
         (which would delete one element twice) raise :class:`BatchError`, as
-        do ranks outside ``[1, size]`` — in both cases before any element
-        moves.  The batch is applied deterministically in descending rank
-        order, which keeps every remaining pre-batch rank valid.
+        do ranks that are not integers in ``[1, size]`` — in both cases
+        before any element moves.  The batch is applied deterministically in
+        descending rank order, which keeps every remaining pre-batch rank
+        valid.
         """
         prepared = self._prepare_delete_batch(ranks)
         if not prepared:
@@ -250,12 +259,7 @@ class ListLabeler(abc.ABC):
     ) -> list[tuple[int, Hashable]]:
         """Validate an insert batch and return it stably sorted by rank."""
         prepared = [(rank, element) for rank, element in items]
-        for rank, _ in prepared:
-            if not 1 <= rank <= self._size + 1:
-                raise BatchError(
-                    f"insert_batch rank {rank} out of range for a structure "
-                    f"holding {self._size} element(s)"
-                )
+        self._check_batch_ranks("insert_batch", [rank for rank, _ in prepared], 1)
         if self._size + len(prepared) > self._capacity:
             raise BatchError(
                 f"insert_batch of {len(prepared)} element(s) exceeds capacity "
@@ -267,18 +271,26 @@ class ListLabeler(abc.ABC):
     def _prepare_delete_batch(self, ranks: Sequence[int]) -> list[int]:
         """Validate a delete batch and return its ranks sorted descending."""
         prepared = list(ranks)
+        self._check_batch_ranks("delete_batch", prepared, 0)
         seen: set[int] = set()
         for rank in prepared:
-            if not 1 <= rank <= self._size:
-                raise BatchError(
-                    f"delete_batch rank {rank} out of range for a structure "
-                    f"holding {self._size} element(s)"
-                )
             if rank in seen:
                 raise BatchError(f"delete_batch names rank {rank} twice")
             seen.add(rank)
         prepared.sort(reverse=True)
         return prepared
+
+    def _check_batch_ranks(self, kind: str, ranks: Sequence, slack: int) -> None:
+        """Raise :class:`BatchError` unless every rank is an integer in
+        ``[1, size + slack]`` (``slack=1`` admits the one-past-end rank)."""
+        for rank in ranks:
+            if not is_rank(rank):
+                raise BatchError(f"{kind} rank {rank!r} is not an integer")
+            if not 1 <= rank <= self._size + slack:
+                raise BatchError(
+                    f"{kind} rank {rank} out of range for a structure "
+                    f"holding {self._size} element(s)"
+                )
 
     def _insert_batch(
         self, prepared: Sequence[tuple[int, Hashable]]
@@ -443,7 +455,7 @@ class ListLabeler(abc.ABC):
     # ------------------------------------------------------------------
     def _check_read_rank(self, rank: int, kind: str, *, slack: int = 0) -> None:
         """Validate a read rank; ``slack=1`` admits the one-past-end rank."""
-        if not 1 <= rank <= self._size + slack:
+        if not (is_rank(rank) and 1 <= rank <= self._size + slack):
             raise RankError(rank, self._size, kind)
 
     def select(self, rank: int) -> Hashable:

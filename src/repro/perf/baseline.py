@@ -41,11 +41,9 @@ sizes and :func:`compare_baselines` diffs the intersection:
 * any other metric drift warns, since for a fixed seed every non-wall-clock
   number is expected to be bit-identical.
 
-**Schema versions.**  Version 2 (current) added the latency suite and the
-``p999`` / ``latency_*`` summary fields; the change is purely additive, so
-the comparator accepts any baseline whose version is in
-:data:`COMPATIBLE_SCHEMA_VERSIONS` — the committed version-1 documents
-keep validating without regeneration.
+**Schema version.**  The comparator reads only documents of the current
+:data:`SCHEMA_VERSION`; an older file is a failure that asks for a
+regeneration.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from repro.perf.scenarios import (
     CORE_SCENARIOS,
     LATENCY_SCENARIOS,
     OBS_SCENARIOS,
-    PARALLEL_SCENARIOS,
     QUERY_SCENARIOS,
     SERVER_SCENARIOS,
     SHARDED_SCENARIOS,
@@ -68,11 +65,6 @@ from repro.perf.scenarios import (
 )
 
 SCHEMA_VERSION = 2
-
-#: Baseline document versions the comparator still reads.  Version 2 only
-#: *added* fields (latency suite, ``p999``/``latency_*``), so version-1
-#: documents committed before the bump stay comparable as-is.
-COMPATIBLE_SCHEMA_VERSIONS = frozenset({1, 2})
 
 #: Seed baked into the committed baselines.
 DEFAULT_SEED = 20260730
@@ -90,7 +82,6 @@ SUITES: dict[str, dict[str, ScenarioSpec]] = {
     "query": QUERY_SCENARIOS,
     "latency": LATENCY_SCENARIOS,
     "server": SERVER_SCENARIOS,
-    "parallel": PARALLEL_SCENARIOS,
     "obs": OBS_SCENARIOS,
 }
 
@@ -118,9 +109,7 @@ WALL_CLOCK_METRICS = frozenset(
         "ops_per_second",
         "reference_ops_per_second",
         "vector_ops_per_second",
-        "singleton_ops_per_second",
-        "serial_ops_per_second",
-        "parallel_ops_per_second",
+        "cursor_ops_per_second",
         "bare_elapsed_seconds",
         "instrumented_elapsed_seconds",
         "overhead_fraction",
@@ -156,10 +145,6 @@ _CORRECTNESS_FLAGS = {
     "replicas_match": (
         "replica state digest diverged from the primary (WAL shipping no "
         "longer reproduces byte-identical state)"
-    ),
-    "parallel_matches_serial": (
-        "pooled shard execution diverged from the serial path (state "
-        "digest or move log mismatch across worker counts)"
     ),
     "obs_matches_bare": (
         "a live metrics registry changed a structural decision (move log "
@@ -365,16 +350,12 @@ def compare_baselines(
     """
     suite = baseline.get("suite", "?")
     comparison = BaselineComparison(suite=suite)
-    # Compatible versions (not just equal ones) diff cleanly: schema bumps
-    # are additive, so a version-1 committed baseline validates against a
-    # version-2 fresh run on their metric intersection.
     for side, document in (("baseline", baseline), ("fresh", fresh)):
-        if document.get("schema_version") not in COMPATIBLE_SCHEMA_VERSIONS:
+        if document.get("schema_version") != SCHEMA_VERSION:
             comparison.failures.append(
                 f"unsupported {side} schema version "
                 f"{document.get('schema_version')!r} (supported: "
-                f"{sorted(COMPATIBLE_SCHEMA_VERSIONS)}) — regenerate the "
-                f"baseline"
+                f"{SCHEMA_VERSION}) — regenerate the baseline"
             )
     if comparison.failures:
         return comparison

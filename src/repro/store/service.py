@@ -58,7 +58,6 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from repro import obs
 from repro.core.cost import CostTracker
-from repro.core.parallel import ShardPool, resolve_pool
 from repro.store.store import DurableStore
 
 
@@ -135,8 +134,6 @@ class StoreService:
         stripes: int | None = None,
         track_latency: bool = False,
         clock: Callable[[], float] | None = None,
-        parallel: ShardPool | None = None,
-        max_workers: int | None = None,
         registry=None,
     ) -> None:
         self._store = store
@@ -144,16 +141,6 @@ class StoreService:
             stripes = max(8, getattr(store.labeler, "shard_count", 8))
         self._stripes = [RWLock() for _ in range(max(1, stripes))]
         self._structure = RWLock()
-        # Per-shard fan-out for batch mutations: the pool attaches to the
-        # underlying sharded labeler, so put_many/delete_many dispatch
-        # their independent per-shard sub-batches across workers while
-        # this service's structure lock (held exclusively for the whole
-        # batch) keeps the usual one-writer-at-a-time contract.
-        self._pool, self._owns_pool = resolve_pool(parallel, max_workers)
-        if self._pool is not None:
-            attach = getattr(store.labeler, "set_parallel", None)
-            if attach is not None:
-                attach(self._pool)
         self._compactor: threading.Thread | None = None
         self._compactor_stop = threading.Event()
         self._compactor_error: BaseException | None = None
@@ -210,11 +197,6 @@ class StoreService:
     @property
     def stripe_count(self) -> int:
         return len(self._stripes)
-
-    @property
-    def pool(self) -> ShardPool | None:
-        """The shard pool batch mutations dispatch through, if any."""
-        return self._pool
 
     def _stripe(self, key: Hashable) -> RWLock:
         return self._stripes[hash(key) % len(self._stripes)]
@@ -443,7 +425,7 @@ class StoreService:
         ``p999`` is a per-operation number on the same scale for singleton
         and ``put_many`` traffic.  Zero-applied batches carry no
         operations but still count as events, so the event-level keys
-        (``events``, ``latency_event_p999``, ``latency_max``) expose
+        (``events``, ``latency_event_p999``, ``latency_event_max``) expose
         no-op stalls the per-operation percentiles cannot see.
         """
         if self._latency is None or not self._latency.events:
@@ -625,10 +607,3 @@ class StoreService:
         self.stop_compactor()
         with self._structure.write():
             self._store.close()
-        if self._pool is not None:
-            detach = getattr(self._store.labeler, "set_parallel", None)
-            if detach is not None:
-                detach(None)
-            if self._owns_pool:
-                self._pool.close()
-            self._pool = None

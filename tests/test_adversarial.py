@@ -206,6 +206,6 @@ class TestRunnerLatencyCapture:
             clock=FakeClock(ticks=itertools.cycle([0.5, 1.5])),
         )
         summary = result.summary()
-        for key in ("latency_p50", "latency_p99", "latency_p999", "latency_max"):
+        for key in ("latency_p50", "latency_p99", "latency_p999", "latency_event_max"):
             assert key in summary
         assert summary["p999"] >= summary["p99"] >= summary["p50"]

@@ -119,7 +119,7 @@ class TestSummary:
         assert summary["latency_p50"] == pytest.approx(0.25)
         assert summary["latency_p99"] == pytest.approx(0.75)
         assert summary["latency_p999"] == pytest.approx(0.75)
-        assert summary["latency_max"] == pytest.approx(0.75)
+        assert summary["latency_event_max"] == pytest.approx(0.75)
 
 
 class TestWeightedPercentiles:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms import NaiveLabeler
 from repro.core import Operation
-from repro.core.exceptions import CapacityError, RankError
+from repro.core.exceptions import BatchError, CapacityError, RankError
 from repro.core.interface import ListLabeler
 from tests.conftest import ALGORITHM_FACTORIES, COMPOSITE_FACTORIES
 
@@ -47,6 +47,33 @@ class TestRankValidation:
     def test_num_slots_not_below_capacity(self):
         with pytest.raises(ValueError):
             NaiveLabeler(10, num_slots=5)
+
+
+#: Every standalone algorithm plus the sharded engine, which validates
+#: batches through its own ``_prepare_insert_batch``.
+TYPED_RANK_FACTORIES = {
+    **ALGORITHM_FACTORIES,
+    "sharded(classical)": COMPOSITE_FACTORIES["sharded(classical)"],
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None], ids=repr)
+@pytest.mark.parametrize("name", sorted(TYPED_RANK_FACTORIES))
+def test_non_integer_ranks_raise_typed_errors(name, bad):
+    labeler = TYPED_RANK_FACTORIES[name](32)
+    for rank, key in enumerate((10, 20, 30), start=1):
+        labeler.insert(rank, key)
+    with pytest.raises(RankError):
+        labeler.insert(bad, 15)
+    with pytest.raises(RankError):
+        labeler.delete(bad)
+    with pytest.raises(RankError):
+        labeler.select(bad)
+    with pytest.raises(BatchError):
+        labeler.insert_batch([(1, 5), (bad, 15)])
+    with pytest.raises(BatchError):
+        labeler.delete_batch([1, bad])
+    assert labeler.elements() == [10, 20, 30]
 
 
 class TestViews:

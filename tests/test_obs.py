@@ -135,13 +135,13 @@ class TestExposition:
     def test_render_prometheus_families(self):
         registry = MetricsRegistry()
         registry.counter("wal.frames_appended").inc(3)
-        registry.gauge("pool.queue_depth").set(2)
+        registry.gauge("sharded.shard_count").set(2)
         hist = registry.histogram("h", start=1.0, factor=2.0, count=2)
         hist.observe(1.5)
         text = render_prometheus(registry.snapshot())
         assert "# TYPE repro_wal_frames_appended_total counter" in text
         assert "repro_wal_frames_appended_total 3" in text
-        assert "# TYPE repro_pool_queue_depth gauge" in text
+        assert "# TYPE repro_sharded_shard_count gauge" in text
         assert 'repro_h_bucket{le="2.0"} 1' in text
         assert 'repro_h_bucket{le="+Inf"} 1' in text
         assert "repro_h_count 1" in text
@@ -414,11 +414,7 @@ class TestWireExposure:
         assert stats["replication_floor"] is None
         assert stats["shard_statistics"]["shards"] >= 1
         assert "latency_p999" in stats["latency"]
-        # Aliased spellings stay available for committed baselines.
-        assert (
-            stats["latency"]["latency_max"]
-            == stats["latency"]["latency_event_max"]
-        )
+        assert "latency_event_max" in stats["latency"]
 
     def test_error_families_are_counted(self, live_server):
         import socket

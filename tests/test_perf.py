@@ -29,7 +29,6 @@ import pytest
 
 import repro.perf.__main__ as perf_cli
 from repro.perf.baseline import (
-    COMPATIBLE_SCHEMA_VERSIONS,
     DEFAULT_SEED,
     MOVE_METRICS,
     SCHEMA_VERSION,
@@ -59,11 +58,8 @@ def _committed(suite: str) -> dict:
 class TestCommittedBaselines:
     @pytest.mark.parametrize("suite", ["core", "sharded", "store", "latency"])
     def test_schema(self, suite):
-        # Version-1 documents committed before the latency bump stay valid
-        # (the bump was additive); anything outside the compatible set is
-        # stale.
         document = _committed(suite)
-        assert document["schema_version"] in COMPATIBLE_SCHEMA_VERSIONS
+        assert document["schema_version"] == SCHEMA_VERSION
         assert document["suite"] == suite
         assert isinstance(document["seed"], int)
         assert document["quick"] is False
@@ -242,21 +238,18 @@ class TestComparator:
         assert not comparison.ok
         assert any("p999" in failure for failure in comparison.failures)
 
-    def test_old_schema_version_still_compares(self):
-        # The version bump was additive: a committed version-1 baseline
-        # must keep validating against a current fresh run unchanged.
+    def test_old_schema_version_fails(self):
         baseline = _quick_core_document()
-        baseline["schema_version"] = 1
+        baseline["schema_version"] = SCHEMA_VERSION - 1
         fresh = _quick_core_document()
-        assert fresh["schema_version"] == SCHEMA_VERSION
         comparison = compare_baselines(baseline, fresh)
-        assert comparison.ok, comparison.failures
+        assert not comparison.ok
+        assert any("regenerate" in failure for failure in comparison.failures)
 
     def test_schema_version_mismatch_fails(self):
         baseline = _quick_core_document()
         fresh = copy.deepcopy(baseline)
         fresh["schema_version"] = SCHEMA_VERSION + 1
-        assert fresh["schema_version"] not in COMPATIBLE_SCHEMA_VERSIONS
         comparison = compare_baselines(baseline, fresh)
         assert not comparison.ok
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -10,6 +13,14 @@ from repro.algorithms import ClassicalPMA, NaiveLabeler, make_sharded_labeler
 from repro.core import ShardedLabeler
 from repro.core.exceptions import BatchError, RankError
 from repro.core.validation import check_labeler, check_moves_consistent
+from repro.store import codec
+from repro.store.harness import (
+    ReferenceStore,
+    make_ops,
+    move_log_digest,
+    record_move_log,
+    state_digest,
+)
 
 
 def classical_factory(capacity):
@@ -378,3 +389,98 @@ class TestEmptyRegionRewrites:
         labeler.check_consistency()
         labeler.insert(1, 7)
         assert labeler.elements() == [7]
+
+
+def _mixed_batches(steps, seed, *, max_batch=24):
+    """A seeded stream of valid insert/delete batches over a model list."""
+    rng = random.Random(seed)
+    model = 0  # only the size matters for rank validity
+    counter = 0
+    script = []
+    for _ in range(steps):
+        if model and rng.random() < 0.4:
+            count = min(model, rng.randint(1, max_batch))
+            ranks = sorted(rng.sample(range(1, model + 1), count))
+            script.append(("delete", ranks))
+            model -= count
+        else:
+            count = rng.randint(1, max_batch)
+            items = []
+            for _ in range(count):
+                # insert_batch takes pre-batch ranks: all validated (and
+                # applied, descending) against the size before the batch.
+                rank = rng.randint(1, model + 1)
+                counter += 1
+                items.append((rank, counter))
+            script.append(("insert", items))
+            model += count
+    return script
+
+
+def _labeler_digest(labeler):
+    """Digest of composed labels, per-shard layout and restructure log."""
+    document = {
+        "labels": labeler.labels(),
+        "shard_layout": [list(shard.slots()) for shard in labeler.shards],
+        "restructure_log": [list(event) for event in labeler.restructure_log],
+    }
+    return hashlib.sha256(codec.dumps(document).encode("utf-8")).hexdigest()
+
+
+class TestSerialBatchGolden:
+    """Seeded batch and store op scripts replay to pinned digests: the
+    per-shard batch path keeps every move, label and shard layout."""
+
+    def test_mixed_batches_match_the_golden_digests(self):
+        labeler = make(shard_capacity=16)
+        log = record_move_log(labeler)
+        for kind, payload in _mixed_batches(200, seed=7):
+            if kind == "insert":
+                labeler.insert_batch(payload)
+            else:
+                labeler.delete_batch(payload)
+        labeler.check_consistency()
+        assert move_log_digest(log) == (
+            "681391537382788401b23242833df699d6737e7e766b3a4892f86a730e58d104"
+        )
+        assert _labeler_digest(labeler) == (
+            "1dd8606e91bb32fbc77d386642b0eaf15ae43445cf6ab6a217942091586fe2ad"
+        )
+
+    def test_store_replay_matches_the_golden_digests(self):
+        reference = ReferenceStore("classical", 16)
+        log = record_move_log(reference.map.labeler)
+        for op in make_ops(300, seed=11):
+            reference.apply(op)
+        assert state_digest(reference.map) == (
+            "6c6b93dabe7e9e83c404fc29e78350caad3b86a22f10077e6a740ac3ad632837"
+        )
+        assert move_log_digest(log) == (
+            "ef2c363cbce9ba7fb10a615064fb9003c4db64c8b35f5bfa6a8d234562c21668"
+        )
+
+
+class TestBatchedReads:
+    def build(self, n=600):
+        labeler = make(shard_capacity=16)
+        labeler.bulk_load(list(range(n)))
+        return labeler
+
+    def test_range_ranks_matches_cursor_drain(self):
+        labeler = self.build()
+        for lo, hi in [(1, 600), (50, 420), (299, 301), (595, 600), (7, 7)]:
+            expected = list(islice(labeler.iter_from(lo), hi - lo + 1))
+            assert labeler.range_ranks(lo, hi) == expected
+        assert labeler.range_ranks(10, 5) == []
+        assert labeler.range_ranks(601, 700) == []
+
+    def test_count_ranges_matches_the_singleton_loop(self):
+        labeler = self.build()
+        rng = random.Random(3)
+        windows = [
+            tuple(sorted((rng.randrange(labeler.num_slots),
+                          rng.randrange(labeler.num_slots))))
+            for _ in range(40)
+        ]
+        expected = [labeler.count_range(lo, hi) for lo, hi in windows]
+        assert labeler.count_ranges(windows) == expected

@@ -832,14 +832,12 @@ class TestStoreService:
         service.close()
 
     def test_parallel_batch_writers_with_paged_readers(self, tmp_path):
-        """Batch writers on the pooled path vs concurrent ``scan_pages``."""
+        """Concurrent batch writers vs concurrent ``scan_pages`` readers."""
         store = DurableStore(
             tmp_path / "par", algorithm="classical", shard_capacity=16,
             sync_policy="never",
         )
-        service = StoreService(store, stripes=8, max_workers=8)
-        assert service.pool is not None
-        assert store.labeler.pool is service.pool
+        service = StoreService(store, stripes=8)
         errors: list[BaseException] = []
         stop = threading.Event()
         expected: dict = {}
@@ -899,7 +897,6 @@ class TestStoreService:
         assert dict(service.snapshot_items()) == expected
         service.verify()
         service.close()
-        assert store.labeler.pool is None  # close() detached the pool
 
         reopened = DurableStore(tmp_path / "par", sync_policy="never")
         assert dict(reopened.items()) == expected
@@ -939,7 +936,7 @@ class TestStoreService:
         assert stats["p50"] <= stats["p99"] <= stats["p999"]
         # Singleton events took 1 tick; the 20-op batch took 1 tick for 20
         # ops (0.05 each), so the weighted median sits at the singletons.
-        assert stats["latency_max"] == pytest.approx(1.0)
+        assert stats["latency_event_max"] == pytest.approx(1.0)
         assert stats["latency_p50"] == pytest.approx(1.0)
         tracker = service.mutation_costs
         assert tracker is not None
