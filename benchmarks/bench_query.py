@@ -4,7 +4,7 @@ Three claims about the query engine this PR adds:
 
 * **Routing beats probing** — ``ShardedLabeler.slot_of`` through the
   element→shard reverse index answers point lookups ≥10× faster than the
-  pre-index ``O(K)`` probe loop (kept verbatim as ``_slot_of_probe``) once
+  pre-index ``O(K)`` probe loop (kept as ``scenarios.slot_of_probe``) once
   the structure spans ≥64 shards, and the gap grows with the shard count.
 * **Cursors stream** — ``iter_from`` consumes a short prefix of a huge
   structure while touching only the shards that prefix crosses (hard
@@ -28,7 +28,7 @@ from benchmarks.conftest import QUICK, emit, expect, scaled
 from repro.algorithms import ClassicalPMA
 from repro.analysis.reference import ChunkedList
 from repro.core import ShardedLabeler
-from repro.perf.scenarios import run_range_scan_batched
+from repro.perf.scenarios import run_range_scan_batched, slot_of_probe
 
 
 #: Shrunk with the quick-mode n so the many-shard claims stay meaningful
@@ -64,13 +64,13 @@ def test_routing_index_beats_probe_loop(run_once):
         labeler = _loaded_sharded(n)
         rng = random.Random(11)
         keys = [rng.randrange(n) for _ in range(lookups)]
-        expected = [labeler._slot_of_probe(key) for key in keys]
+        expected = [slot_of_probe(labeler, key) for key in keys]
 
         def indexed():
             return [labeler.slot_of(key) for key in keys]
 
         def probed():
-            return [labeler._slot_of_probe(key) for key in keys]
+            return [slot_of_probe(labeler, key) for key in keys]
 
         assert indexed() == expected  # identical answers, before timing
         indexed_elapsed = _time(indexed)

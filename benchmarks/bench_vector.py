@@ -24,11 +24,12 @@ import pytest
 
 from benchmarks.conftest import emit, expect, scaled
 
-from repro.core.physical_backends import vector_available
+from repro.core.embedding import default_physical_factory
 from repro.perf.scenarios import run_insert_heavy, run_point_lookup_core
 
 pytestmark = pytest.mark.skipif(
-    not vector_available(), reason="numpy unavailable (slab-only install)"
+    default_physical_factory().name != "vector",
+    reason="numpy unavailable (slab-only install)",
 )
 
 

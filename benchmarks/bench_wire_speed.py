@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from benchmarks.conftest import emit, expect, scaled
 
-from repro.core.physical_backends import vector_available
 from repro.perf.scenarios import run_chain_sparse, run_insert_heavy
 
 
@@ -71,7 +70,7 @@ def test_wire_speed_insert_heavy(run_once):
         f"slab speedup {metrics['speedup']:.2f}x < 1.5x on insert-heavy "
         f"(n={n})",
     )
-    if vector_available():
+    if "vector_moves" in metrics:
         assert metrics["vector_matches_slab"], (
             "vector and slab move logs diverged"
         )
@@ -92,7 +91,7 @@ def test_wire_speed_chain_sparse(run_once):
         backend_rows("chain_sparse", n, metrics),
     )
     assert metrics["moves_match"], "slab and reference move logs diverged"
-    if vector_available():
+    if "vector_moves" in metrics:
         assert metrics["vector_matches_slab"], (
             "vector and slab move logs diverged"
         )

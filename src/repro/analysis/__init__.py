@@ -9,7 +9,12 @@ growth exponents (is the amortized cost growing like ``log n`` or
 experiments print.
 """
 
-from repro.analysis.runner import RunResult, replay_run, run_workload
+from repro.analysis.runner import (
+    RunResult,
+    record_shell_input,
+    replay_run,
+    run_workload,
+)
 from repro.analysis.curves import estimate_log_exponent, growth_ratios
 from repro.analysis.reference import ChunkedList
 from repro.analysis.report import format_scenario_table, format_table
@@ -22,5 +27,6 @@ __all__ = [
     "format_scenario_table",
     "format_table",
     "growth_ratios",
+    "record_shell_input",
     "run_workload",
 ]

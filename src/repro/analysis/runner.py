@@ -288,6 +288,31 @@ def replay_run(durable_dir, labeler: ListLabeler) -> RunResult:
     )
 
 
+def record_shell_input(embedding) -> list[tuple[str, int]]:
+    """Record every ``(kind, token_rank)`` an embedding hands its R-shell.
+
+    Wraps the shell instance's ``delete_token`` / ``insert_token`` (the
+    only entry points of the shell's input) and returns the list they
+    append to — the sequence Lemma 4 says is independent of R's random
+    bits.  Opt-in, so a long-lived embedding records nothing.
+    """
+    trace: list[tuple[str, int]] = []
+    shell = embedding.shell
+    delete_token, insert_token = shell.delete_token, shell.insert_token
+
+    def recording_delete(token_rank: int) -> None:
+        trace.append(("delete", token_rank))
+        delete_token(token_rank)
+
+    def recording_insert(token_rank: int) -> int:
+        trace.append(("insert", token_rank))
+        return insert_token(token_rank)
+
+    shell.delete_token = recording_delete
+    shell.insert_token = recording_insert
+    return trace
+
+
 def _validate(labeler: ListLabeler, reference: ChunkedList) -> None:
     # check_contents (inside check_labeler) raises InvariantViolation when
     # the structure diverges from the reference model.

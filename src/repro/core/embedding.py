@@ -38,9 +38,26 @@ from repro.core.shell import RShell
 LabelerFactory = Callable[[int, int], ListLabeler]
 
 #: Type of the factory building the shared physical array from its slot
-#: count.  The default is :class:`repro.core.physical.PhysicalArray`; the
+#: count.  The default comes from :func:`default_physical_factory`; the
 #: perf/differential harnesses inject tracing or reference implementations.
 PhysicalFactory = Callable[[int], PhysicalArray]
+
+
+def default_physical_factory() -> PhysicalFactory:
+    """The physical array an :class:`Embedding` builds when given none.
+
+    The numpy-bitboard :class:`~repro.core.physical_vector.VectorPhysicalArray`
+    when its module imports, else the dependency-free slab
+    :class:`~repro.core.physical.PhysicalArray`.  All backends produce
+    bit-identical move logs, so the choice is observed from the
+    interpreter, never configured.  The import is deferred to the first
+    embedding built, so a process without one never loads numpy.
+    """
+    try:
+        from repro.core.physical_vector import VectorPhysicalArray
+    except ImportError:
+        return PhysicalArray
+    return VectorPhysicalArray
 
 
 def default_expected_cost(capacity: int) -> int:
@@ -63,20 +80,11 @@ class Embedding(ListLabeler):
         reliable_expected_cost: int | None = None,
         rebuild_work_factor: float = 1.0,
         physical_factory: PhysicalFactory | None = None,
-        physical_backend: str | None = None,
     ) -> None:
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if physical_factory is None:
-            # Deferred import: physical_backends imports the optional vector
-            # module, which this core module must not force at import time.
-            from repro.core.physical_backends import resolve_physical_factory
-
-            physical_factory = resolve_physical_factory(physical_backend)
-        elif physical_backend is not None:
-            raise ValueError(
-                "pass physical_factory or physical_backend, not both"
-            )
+            physical_factory = default_physical_factory()
         if num_slots is None:
             f_slots = max(capacity + 1, int(math.ceil((1.0 + epsilon) * capacity)))
             buffer_slots = max(2, int(math.ceil(epsilon * capacity)))
@@ -133,9 +141,6 @@ class Embedding(ListLabeler):
         self.fast_operations = 0
         self.slow_operations = 0
         self.max_buffered_elements = 0
-        #: The operation sequence handed to the R-shell, recorded as
-        #: ``(kind, token_rank)`` pairs — used by the Lemma 4 experiments.
-        self.shell_input_trace: list[tuple[str, int]] = []
 
     # ------------------------------------------------------------------
     # Component access (read-only; useful for experiments and figures)
@@ -146,10 +151,8 @@ class Embedding(ListLabeler):
 
     @property
     def physical_backend(self) -> str:
-        """Registry name of the physical-array backend in use."""
-        from repro.core.physical_backends import backend_name_of
-
-        return backend_name_of(self._physical)
+        """Name of the physical-array backend in use (its class's ``name``)."""
+        return self._physical.name
 
     @property
     def emulator(self) -> FEmulator:
@@ -284,14 +287,12 @@ class Embedding(ListLabeler):
         dummy_position = physical.nearest_dummy_buffer(anchor_position)
         assert dummy_position is not None
         dummy_rank = physical.token_rank(dummy_position)
-        self.shell_input_trace.append(("delete", dummy_rank))
         self._shell.delete_token(dummy_rank)
 
         if predecessor is not None:
             insert_rank = physical.token_rank(physical.position_of(predecessor)) + 1
         else:
             insert_rank = 1
-        self.shell_input_trace.append(("insert", insert_rank))
         new_position = self._shell.insert_token(insert_rank)
         physical.put_element(new_position, element)
 

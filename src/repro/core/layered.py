@@ -26,7 +26,7 @@ from repro.algorithms.deamortized import DeamortizedPMA
 from repro.algorithms.learned import LearnedLabeler
 from repro.algorithms.predictions import RankPredictor
 from repro.algorithms.randomized import RandomizedPMA
-from repro.core.embedding import Embedding, LabelerFactory
+from repro.core.embedding import Embedding, LabelerFactory, PhysicalFactory
 
 
 def embedding_factory(
@@ -35,16 +35,16 @@ def embedding_factory(
     *,
     reliable_expected_cost: int | None = None,
     rebuild_work_factor: float = 1.0,
-    physical_backend: str | None = None,
+    physical_factory: PhysicalFactory | None = None,
 ) -> LabelerFactory:
     """A factory producing ``F ⊳ R`` instances sized by the caller.
 
     The returned callable has the ``(capacity, num_slots)`` signature every
     component factory uses, so the embedding it builds can in turn serve as
     the reliable algorithm of an outer embedding (the double application of
-    Theorem 2 that proves Theorem 3).  ``physical_backend`` selects the
-    physical-array implementation of every embedding built (see
-    :mod:`repro.core.physical_backends`).
+    Theorem 2 that proves Theorem 3).  ``physical_factory`` builds the
+    physical array of every embedding built (``None``: the
+    :func:`~repro.core.embedding.default_physical_factory` choice).
     """
 
     def build(capacity: int, num_slots: int) -> Embedding:
@@ -55,7 +55,7 @@ def embedding_factory(
             num_slots=num_slots,
             reliable_expected_cost=reliable_expected_cost,
             rebuild_work_factor=rebuild_work_factor,
-            physical_backend=physical_backend,
+            physical_factory=physical_factory,
         )
 
     return build
@@ -81,7 +81,7 @@ class LayeredLabeler(Embedding):
         expected_cost_bound: int | None = None,
         worst_case_cost_bound: int | None = None,
         rebuild_work_factor: float = 1.0,
-        physical_backend: str | None = None,
+        physical_factory: PhysicalFactory | None = None,
     ) -> None:
         if expected_cost_bound is None:
             # Y's guarantee: the O(log^{3/2} n) bound of [8].
@@ -96,7 +96,7 @@ class LayeredLabeler(Embedding):
             worst_case_factory,
             reliable_expected_cost=worst_case_cost_bound,
             rebuild_work_factor=rebuild_work_factor,
-            physical_backend=physical_backend,
+            physical_factory=physical_factory,
         )
         super().__init__(
             capacity,
@@ -105,7 +105,7 @@ class LayeredLabeler(Embedding):
             epsilon=epsilon,
             reliable_expected_cost=expected_cost_bound,
             rebuild_work_factor=rebuild_work_factor,
-            physical_backend=physical_backend,
+            physical_factory=physical_factory,
         )
 
     @property
@@ -144,7 +144,7 @@ def make_corollary11_labeler(
     seed: int | None = None,
     epsilon: float = 0.4,
     rebuild_work_factor: float = 1.0,
-    physical_backend: str | None = None,
+    physical_factory: PhysicalFactory | None = None,
 ) -> LayeredLabeler:
     """The Corollary 11 structure: adaptive ⊳ (randomized ⊳ deamortized).
 
@@ -162,7 +162,7 @@ def make_corollary11_labeler(
         worst_case_factory=lambda cap, slots: DeamortizedPMA(cap, slots),
         epsilon=epsilon,
         rebuild_work_factor=rebuild_work_factor,
-        physical_backend=physical_backend,
+        physical_factory=physical_factory,
     )
 
 
@@ -173,7 +173,6 @@ def make_corollary12_labeler(
     seed: int | None = None,
     epsilon: float = 0.4,
     rebuild_work_factor: float = 1.0,
-    physical_backend: str | None = None,
 ) -> LayeredLabeler:
     """The Corollary 12 structure: learned ⊳ (randomized ⊳ deamortized).
 
@@ -191,5 +190,4 @@ def make_corollary12_labeler(
         worst_case_factory=lambda cap, slots: DeamortizedPMA(cap, slots),
         epsilon=epsilon,
         rebuild_work_factor=rebuild_work_factor,
-        physical_backend=physical_backend,
     )

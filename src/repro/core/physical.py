@@ -88,6 +88,10 @@ _CHAIN_SCAN_CUTOFF = 64
 class PhysicalArray:
     """The embedding's array ``A`` with slot kinds, contents, and indexes."""
 
+    #: Backend name reported by ``Embedding.physical_backend`` and STATS
+    #: (inherited, so instrumented subclasses still report ``slab``).
+    name = "slab"
+
     # Defaults so instances materialized without ``__init__`` (object graphs
     # rebuilt via ``__new__``) never trip on missing observability state.
     _obs_enabled = False
@@ -119,7 +123,7 @@ class PhysicalArray:
             self._obs_chain_moves = reg.counter("physical.chain_moves")
             self._obs_shell_moves = reg.counter("physical.shell_moves")
             self._obs_relabel_flips = reg.counter("physical.relabel_flips")
-            # Index into PHYSICAL_BACKENDS: 0=reference, 1=slab, 2=vector
+            # Backend code: 0=reference, 1=slab, 2=vector
             # (the reference backend stays seed-pure and never reports).
             reg.gauge("physical.backend").set(1.0)
 

@@ -32,6 +32,9 @@ from repro.core.physical_kinds import BUFFER, F_SLOT, R_EMPTY
 class ReferencePhysicalArray:
     """The seed's array ``A``: list slabs + four independent Fenwick trees."""
 
+    #: Backend name reported by ``Embedding.physical_backend`` and STATS.
+    name = "reference"
+
     def __init__(self, num_slots: int) -> None:
         self._m = num_slots
         self._kinds: list[int] = [R_EMPTY] * num_slots

@@ -38,10 +38,10 @@ Element contents use the same interning scheme as the slab backend: an
 the bulk gathers, an id → position slab, and a free-list so the tables are
 sized by the live set.
 
-This module imports :mod:`numpy` at import time; use
-:func:`repro.core.physical_backends.resolve_physical_factory` for the
-guarded selection path that falls back to the slab backend when numpy is
-missing.
+This module imports :mod:`numpy` at import time;
+:func:`repro.core.embedding.default_physical_factory` imports it only when
+an embedding is first built, and falls back to the slab backend when numpy
+is missing.
 """
 
 from __future__ import annotations
@@ -72,6 +72,14 @@ from repro.core.physical_kinds import (
 )
 
 __all__ = ["VectorPhysicalArray"]
+
+if not hasattr(np, "bitwise_count"):
+    # numpy < 2.0: failing the import makes the default selection fall back
+    # to the slab array instead of crashing on the first rank count.
+    raise ImportError(
+        "the vector physical array needs numpy >= 2.0 (np.bitwise_count); "
+        f"found numpy {np.__version__}"
+    )
 
 #: Below this many bitboard words, prefix/select walk a Python loop; above
 #: it the vectorized ``np.bitwise_count`` path wins.
@@ -131,6 +139,9 @@ def _nth_bit(word: int, rank: int) -> int:
 class VectorPhysicalArray:
     """The embedding's array ``A`` on numpy slabs with bitboard lanes."""
 
+    #: Backend name reported by ``Embedding.physical_backend`` and STATS.
+    name = "vector"
+
     # Defaults so instances materialized without ``__init__`` (object graphs
     # rebuilt via ``__new__``) never trip on missing observability state.
     _obs_enabled = False
@@ -187,7 +198,7 @@ class VectorPhysicalArray:
             self._obs_chain_moves = reg.counter("physical.chain_moves")
             self._obs_shell_moves = reg.counter("physical.shell_moves")
             self._obs_relabel_flips = reg.counter("physical.relabel_flips")
-            # Index into PHYSICAL_BACKENDS: 0=reference, 1=slab, 2=vector
+            # Backend code: 0=reference, 1=slab, 2=vector
             # (the reference backend stays seed-pure and never reports).
             reg.gauge("physical.backend").set(2.0)
 

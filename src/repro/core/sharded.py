@@ -679,9 +679,9 @@ class ShardedLabeler(ListLabeler):
         indexed shard query.
 
         The element → shard reverse index replaces the ``O(K)`` probe loop
-        that scanned every shard until one answered (still available as
-        :meth:`_slot_of_probe` for the regression benchmark): a hit costs
-        two dict lookups plus the owning shard's own indexed ``slot_of``,
+        that scanned every shard until one answered (kept as the benchmark
+        foil :func:`repro.perf.scenarios.slot_of_probe`): a hit costs two
+        dict lookups plus the owning shard's own indexed ``slot_of``,
         independent of the shard count.
         """
         shard = self._elem_shard.get(element)
@@ -701,45 +701,6 @@ class ShardedLabeler(ListLabeler):
     def contains(self, element: Hashable) -> bool:
         """Membership in ``O(1)`` through the reverse index."""
         return element in self._elem_shard
-
-    def _slot_of_probe(self, element: Hashable) -> int:
-        """The pre-index ``O(K)`` probe loop, kept as the benchmark foil.
-
-        Probes every shard in order (via its ``contains`` when it has one)
-        until one owns the element — the behaviour :meth:`slot_of` had
-        before the routing index, preserved verbatim so the regression
-        benchmark can measure the routed path against it on identical
-        structures.
-        """
-        offset = 0
-        for shard in self._shards:
-            has = getattr(shard, "contains", None)
-            if has is not None:
-                if has(element):
-                    return offset + shard.slot_of(element)
-            else:
-                try:
-                    return offset + shard.slot_of(element)
-                except KeyError:
-                    pass
-            offset += shard.num_slots
-        raise KeyError(f"element {element!r} is not stored")
-
-    def _rank_of_probe(self, element: Hashable) -> int:
-        """The pre-index ``O(K)`` rank probe loop (benchmark foil)."""
-        below = 0
-        for shard in self._shards:
-            has = getattr(shard, "contains", None)
-            if has is not None:
-                if has(element):
-                    return below + shard.rank_of(element)
-            else:
-                try:
-                    return below + shard.rank_of(element)
-                except KeyError:
-                    pass
-            below += len(shard)
-        raise KeyError(f"element {element!r} is not stored")
 
     # ------------------------------------------------------------------
     # Read path: directory-routed selects and cross-shard streaming

@@ -28,13 +28,17 @@ from typing import Callable
 
 from repro.core.operations import MoveRecorder, move_triples
 from repro.core.physical import BUFFER, F_SLOT, PhysicalArray, ReferencePhysicalArray
-from repro.core.physical_backends import vector_available
 from repro.perf.trace import (
     PhysicalTrace,
     TracingPhysicalArray,
     record_insert_heavy_trace,
     replay_trace,
 )
+
+try:
+    from repro.core.physical_vector import VectorPhysicalArray
+except ImportError:  # numpy missing: reference and slab rows only
+    VectorPhysicalArray = None
 
 #: Repeat count for the replay timings (best-of to damp scheduler noise).
 _TIMING_REPEATS = 2
@@ -108,9 +112,7 @@ def _timed_replays(trace: PhysicalTrace, num_slots: int) -> dict:
         ),
     }
 
-    if vector_available():
-        from repro.core.physical_vector import VectorPhysicalArray
-
+    if VectorPhysicalArray is not None:
         vector_elapsed = None
         for _ in range(_TIMING_REPEATS):
             array = VectorPhysicalArray(num_slots)
@@ -233,9 +235,7 @@ def run_point_lookup_core(n: int, seed: int) -> dict:
         ("reference", ReferencePhysicalArray),
         ("slab", PhysicalArray),
     ]
-    if vector_available():
-        from repro.core.physical_vector import VectorPhysicalArray
-
+    if VectorPhysicalArray is not None:
         backends.append(("vector", VectorPhysicalArray))
 
     lookups = _LOOKUPS_PER_OP * n
@@ -389,6 +389,45 @@ def run_zipfian_hammer(n: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 # Query suite: read-heavy serving mixes through the runner
 # ---------------------------------------------------------------------------
+def slot_of_probe(labeler, element) -> int:
+    """The pre-index ``O(K)`` ``ShardedLabeler.slot_of``: the benchmark foil.
+
+    Probes every shard in order (via its ``contains`` when it has one)
+    until one owns the element, so the routed lookup can be measured
+    against it on identical structures.
+    """
+    offset = 0
+    for shard in labeler.shards:
+        has = getattr(shard, "contains", None)
+        if has is not None:
+            if has(element):
+                return offset + shard.slot_of(element)
+        else:
+            try:
+                return offset + shard.slot_of(element)
+            except KeyError:
+                pass
+        offset += shard.num_slots
+    raise KeyError(f"element {element!r} is not stored")
+
+
+def rank_of_probe(labeler, element) -> int:
+    """The pre-index ``O(K)`` ``ShardedLabeler.rank_of`` (benchmark foil)."""
+    below = 0
+    for shard in labeler.shards:
+        has = getattr(shard, "contains", None)
+        if has is not None:
+            if has(element):
+                return below + shard.rank_of(element)
+        else:
+            try:
+                return below + shard.rank_of(element)
+            except KeyError:
+                pass
+        below += len(shard)
+    raise KeyError(f"element {element!r} is not stored")
+
+
 def _query_run_metrics(result, labeler) -> dict:
     """Metrics of a read-heavy run: write moves + per-kind query counts.
 

@@ -21,16 +21,14 @@ from repro.core.physical import (
     PhysicalArray,
     ReferencePhysicalArray,
 )
-from repro.core.physical_backends import vector_available
+from repro.core.embedding import default_physical_factory
 
+#: Every backend this interpreter can build: the default adds ``vector``
+#: when numpy imports.
 IMPLEMENTATIONS = {
-    "slab": PhysicalArray,
-    "reference": ReferencePhysicalArray,
+    cls.name: cls
+    for cls in (PhysicalArray, ReferencePhysicalArray, default_physical_factory())
 }
-if vector_available():
-    from repro.core.physical_vector import VectorPhysicalArray
-
-    IMPLEMENTATIONS["vector"] = VectorPhysicalArray
 
 
 @pytest.fixture(params=sorted(IMPLEMENTATIONS))

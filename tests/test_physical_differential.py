@@ -26,15 +26,12 @@ from repro.core.physical import (
     PhysicalArray,
     ReferencePhysicalArray,
 )
-from repro.core.physical_backends import vector_available
+from repro.core.embedding import default_physical_factory
 from repro.perf.scenarios import _record_chain_sparse_trace
 from repro.perf.trace import record_insert_heavy_trace, replay_trace
 
-CANDIDATES = {"slab": PhysicalArray}
-if vector_available():
-    from repro.core.physical_vector import VectorPhysicalArray
-
-    CANDIDATES["vector"] = VectorPhysicalArray
+#: Slab, plus ``vector`` when numpy imports.
+CANDIDATES = {cls.name: cls for cls in (PhysicalArray, default_physical_factory())}
 
 
 def replay_on_all(trace, num_slots):

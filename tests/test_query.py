@@ -23,6 +23,7 @@ from repro.core import Operation, ShardedLabeler
 from repro.core.cost import CostTracker
 from repro.core.exceptions import RankError
 from repro.core.operations import COUNT_RANGE, LOOKUP, RANGE, SELECT
+from repro.perf.scenarios import rank_of_probe, slot_of_probe
 from repro.workloads import MixedReadWriteWorkload, RangeScanWorkload
 from tests.conftest import ALGORITHM_FACTORIES, COMPOSITE_FACTORIES
 
@@ -224,8 +225,8 @@ class TestShardedRouting:
     def test_routed_answers_equal_probe_answers(self):
         labeler = self._many_shards(1024)
         for key in range(0, 1024, 37):
-            assert labeler.slot_of(key) == labeler._slot_of_probe(key)
-            assert labeler.rank_of(key) == labeler._rank_of_probe(key)
+            assert labeler.slot_of(key) == slot_of_probe(labeler, key)
+            assert labeler.rank_of(key) == rank_of_probe(labeler, key)
         with pytest.raises(KeyError):
             labeler.slot_of("missing")
         with pytest.raises(KeyError):

@@ -27,7 +27,8 @@ from hypothesis.stateful import (
 from repro.algorithms import ClassicalPMA
 from repro.applications.ordered_map import PackedMemoryMap
 from repro.core.layered import make_corollary11_labeler
-from repro.core.physical_backends import vector_available
+from repro.core.embedding import default_physical_factory
+from repro.core.physical import PhysicalArray
 from repro.core.sharded import ShardedLabeler
 from repro.core.validation import check_labeler
 
@@ -291,7 +292,7 @@ class VectorTwinMachine(RuleBasedStateMachine):
 
     Both twins are sharded Corollary 11 labelers (embedding shards with a
     physical array underneath) built with the same seed; only the
-    ``physical_backend`` differs.  Every rule applies the same drawn
+    ``physical_factory`` differs.  Every rule applies the same drawn
     operation to both and compares the move triples just produced; the
     invariant compares labels, elements, per-shard physical slots and slot
     kinds after every step, and runs the vector twin's full consistency
@@ -302,16 +303,16 @@ class VectorTwinMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
 
-        def shards(backend):
+        def shards(physical_factory):
             return ShardedLabeler(
                 lambda capacity: make_corollary11_labeler(
-                    capacity, seed=11, physical_backend=backend
+                    capacity, seed=11, physical_factory=physical_factory
                 ),
                 shard_capacity=SHARD_CAPACITY,
             )
 
-        self.slab = shards("slab")
-        self.vector = shards("vector")
+        self.slab = shards(PhysicalArray)
+        self.vector = shards(default_physical_factory())
         self.reference: list[Fraction] = []
 
     def _compare(self, slab_result, vector_result):
@@ -419,6 +420,6 @@ TestShardedMachine.settings = _settings
 TestPackedMemoryMapMachine = PackedMemoryMapMachine.TestCase
 TestPackedMemoryMapMachine.settings = _settings
 
-if vector_available():
+if default_physical_factory().name == "vector":
     TestVectorTwinMachine = VectorTwinMachine.TestCase
     TestVectorTwinMachine.settings = _settings
