@@ -1,7 +1,7 @@
 """E-SHARD — the sharding engine: unbounded capacity at bounded local cost.
 
 Two claims, both beyond what any monolithic structure in this library can
-do:
+do, plus one on what a shard costs to build:
 
 * **Scale** — a :class:`~repro.core.sharded.ShardedLabeler` over classical
   PMA shards absorbs ``n ≥ 8×`` a single shard's capacity (here 64×),
@@ -12,14 +12,22 @@ do:
 * **Batching** — the per-shard sub-batch execution composes with the PR 1
   batch engine: on bulk loads the batched sharded runs land far below the
   singleton sharded runs in total element moves.
+* **Construction** — the registry's ``corollary11`` factory deep-copies a
+  pristine empty shard instead of replaying the R-shells' Θ(n) token
+  inserts, so a shard build is ≥ 10× faster than a fresh
+  ``make_corollary11_labeler`` (a ratio measured within one run).
 """
 
 from __future__ import annotations
+
+import time
 
 from benchmarks.conftest import QUICK, emit, expect, scaled
 from repro.algorithms import ClassicalPMA
 from repro.analysis import run_workload
 from repro.core import ShardedLabeler
+from repro.core.layered import make_corollary11_labeler
+from repro.store.factories import resolve_factory
 from repro.workloads import RandomWorkload
 from repro.workloads.bulk import BulkLoadWorkload
 
@@ -138,3 +146,45 @@ def test_batched_bulk_load_beats_singleton_on_sharded(run_once):
             f"{row['execution']} should move fewer elements than singleton "
             "execution on bulk loads"
         )
+
+
+def _best_ms(build, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        build()
+        best = min(best, time.perf_counter() - started)
+    return best * 1e3
+
+
+def test_template_clone_beats_fresh_corollary11_build(run_once):
+    capacity = 128
+    factory = resolve_factory("corollary11")
+
+    def experiment():
+        factory(capacity)  # builds the template
+        fresh_ms = _best_ms(
+            lambda: make_corollary11_labeler(capacity, seed=7), repeats=3
+        )
+        clone_ms = _best_ms(lambda: factory(capacity), repeats=10)
+        return [
+            {
+                "capacity": capacity,
+                "fresh build ms": fresh_ms,
+                "template clone ms": clone_ms,
+                "fresh / clone": fresh_ms / clone_ms,
+            }
+        ]
+
+    rows = run_once(experiment)
+    emit(
+        "E-SHARD-BUILD: one empty corollary11 shard, fresh build vs "
+        "template clone (best of 3 / 10)",
+        rows,
+        note="A fresh build replays the R-shells' token inserts; a clone "
+        "deep-copies the finished empty structure.",
+    )
+    expect(
+        rows[0]["fresh / clone"] >= 10,
+        "a template clone should build a corollary11 shard >= 10x faster",
+    )

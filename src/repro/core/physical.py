@@ -117,15 +117,33 @@ class PhysicalArray:
         #: Per-element count of deadweight moves (Lemma 5 accounting).
         self.deadweight_by_element: dict[Hashable, int] = {}
         self.total_deadweight_moves = 0
-        reg = obs.get_registry()
+        self._bind_obs()
+
+    def _bind_obs(self, registry=None) -> None:
+        """Bind the ``physical.*`` counters to ``registry`` (default: the
+        current global registry)."""
+        reg = obs.get_registry() if registry is None else registry
+        self._obs_enabled = reg.enabled
         if reg.enabled:
-            self._obs_enabled = True
             self._obs_chain_moves = reg.counter("physical.chain_moves")
             self._obs_shell_moves = reg.counter("physical.shell_moves")
             self._obs_relabel_flips = reg.counter("physical.relabel_flips")
             # Backend code: 0=reference, 1=slab, 2=vector
             # (the reference backend stays seed-pure and never reports).
             reg.gauge("physical.backend").set(1.0)
+
+    # A copy (``copy.deepcopy``, pickle) reports into the registry that is
+    # live when it is made, not into the original's counters.
+    def __getstate__(self) -> dict:
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if not key.startswith("_obs_")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_obs()
 
     # ------------------------------------------------------------------
     # Interning

@@ -99,6 +99,9 @@ _KIND_MASK_TABLE = np.array(
     dtype=np.uint8,
 )
 
+#: Numpy views over the ``array`` buffers, rebuilt rather than copied.
+_VIEW_ATTRS = frozenset({"_masks", "_eid", "_words_np"})
+
 #: ``MASK_KIND`` as a numpy lookup table for vectorized kind recovery.
 _MASK_KIND_TABLE = np.array(MASK_KIND, dtype=np.uint8)
 
@@ -148,36 +151,23 @@ class VectorPhysicalArray:
 
     def __init__(self, num_slots: int) -> None:
         self._m = num_slots
-        #: Packed per-slot state; scalar access through the stdlib array…
+        #: Packed per-slot state; scalar access through the stdlib array,
+        #: vectorized access through its shared-memory uint8 view
+        #: ``_masks`` (made by ``_bind_views``).
         self._mask_buf = array("B", bytes(num_slots))
-        #: …and vectorized access through a shared-memory uint8 view.
-        self._masks = (
-            np.frombuffer(self._mask_buf, dtype=np.uint8)
-            if num_slots
-            else np.empty(0, dtype=np.uint8)
-        )
-        #: Interned element id per slot; -1 marks an element-free slot.
+        #: Interned element id per slot; -1 marks an element-free slot
+        #: (int64 view: ``_eid``).
         self._eid_buf = (
             array("q", b"\xff" * (8 * num_slots)) if num_slots else array("q")
         )
-        self._eid = (
-            np.frombuffer(self._eid_buf, dtype=np.int64)
-            if num_slots
-            else np.empty(0, dtype=np.int64)
-        )
         #: Per-lane bitboards (uint64 words, bit ``p & 63`` of word
-        #: ``p >> 6`` = slot ``p``) with shared-memory numpy views, plus
-        #: O(1)-maintained totals and select fingers.
+        #: ``p >> 6`` = slot ``p``) with shared-memory numpy views
+        #: (``_words_np``), plus O(1)-maintained totals and select fingers.
         self._nwords = (num_slots + 63) >> 6
         self._words = [
             array("Q", bytes(8 * self._nwords)) for _ in range(NUM_LANES)
         ]
-        self._words_np = [
-            np.frombuffer(words, dtype=np.uint64)
-            if self._nwords
-            else np.empty(0, dtype=np.uint64)
-            for words in self._words
-        ]
+        self._bind_views()
         self._tot = [0] * NUM_LANES
         self._fingers: list[tuple[int, int] | None] = [None] * NUM_LANES
         #: id → element object and element → id (the interning table).
@@ -192,15 +182,44 @@ class VectorPhysicalArray:
         #: Per-element count of deadweight moves (Lemma 5 accounting).
         self.deadweight_by_element: dict[Hashable, int] = {}
         self.total_deadweight_moves = 0
-        reg = obs.get_registry()
+        self._bind_obs()
+
+    def _bind_views(self) -> None:
+        """Point the numpy views at the stdlib ``array`` buffers."""
+        self._masks = np.frombuffer(self._mask_buf, dtype=np.uint8)
+        self._eid = np.frombuffer(self._eid_buf, dtype=np.int64)
+        self._words_np = [
+            np.frombuffer(words, dtype=np.uint64) for words in self._words
+        ]
+
+    def _bind_obs(self, registry=None) -> None:
+        """Bind the ``physical.*`` counters to ``registry`` (default: the
+        current global registry)."""
+        reg = obs.get_registry() if registry is None else registry
+        self._obs_enabled = reg.enabled
         if reg.enabled:
-            self._obs_enabled = True
             self._obs_chain_moves = reg.counter("physical.chain_moves")
             self._obs_shell_moves = reg.counter("physical.shell_moves")
             self._obs_relabel_flips = reg.counter("physical.relabel_flips")
             # Backend code: 0=reference, 1=slab, 2=vector
             # (the reference backend stays seed-pure and never reports).
             reg.gauge("physical.backend").set(2.0)
+
+    # A copy (``copy.deepcopy``, pickle) must view its *own* buffers — a
+    # copied view would be a detached array — and report into the registry
+    # that is live when it is made.  So the views and counters are dropped
+    # from the state and rebuilt.
+    def __getstate__(self) -> dict:
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if key not in _VIEW_ATTRS and not key.startswith("_obs_")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
+        self._bind_obs()
 
     # ------------------------------------------------------------------
     # Lane bookkeeping (the O(1) replacement for the Fenwick walks)

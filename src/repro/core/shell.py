@@ -17,7 +17,6 @@ R-side cost is bounded by R's own guarantees) can be checked empirically.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable
 
 from repro.core.exceptions import InvariantViolation
@@ -38,7 +37,8 @@ class RShell:
         physical: PhysicalArray,
     ) -> None:
         self._physical = physical
-        self._token_ids = itertools.count()
+        #: Id of the next fresh token (a plain int so the shell deep-copies).
+        self._next_token = 0
         tokens = f_slots + buffer_slots
         self._reliable = reliable_factory(tokens, physical.num_slots)
         if self._reliable.num_slots != physical.num_slots:
@@ -67,7 +67,8 @@ class RShell:
         become (dummy) buffer slots; their physical placement is whatever
         layout R chose, read back from R's slot array.
         """
-        tokens = [next(self._token_ids) for _ in range(f_slots + buffer_slots)]
+        tokens = list(range(f_slots + buffer_slots))
+        self._next_token = len(tokens)
         kinds = [
             F_SLOT if index < f_slots else BUFFER for index in range(len(tokens))
         ]
@@ -90,7 +91,8 @@ class RShell:
 
     def insert_token(self, token_rank: int) -> int:
         """Insert a fresh buffer token at ``token_rank``; returns its position."""
-        token = next(self._token_ids)
+        token = self._next_token
+        self._next_token += 1
         result = self._reliable.insert(token_rank, token)
         self.token_cost += result.cost
         self.element_cost += self._physical.apply_shell_moves(result.moves)

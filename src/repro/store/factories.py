@@ -16,9 +16,11 @@ records the name so a mismatch is caught, not silently mis-recovered).
 
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from typing import Callable
 
+from repro import obs
 from repro.algorithms import (
     AdaptivePMA,
     ClassicalPMA,
@@ -29,6 +31,7 @@ from repro.algorithms import (
     RandomizedPMA,
     SparseNaiveLabeler,
 )
+from repro.core.embedding import PhysicalFactory, default_physical_factory
 from repro.core.interface import ListLabeler
 from repro.core.layered import make_corollary11_labeler
 
@@ -41,8 +44,57 @@ def _learned(capacity: int) -> LearnedLabeler:
     )
 
 
+#: Pristine empty ``corollary11`` shards, one per (capacity, physical array),
+#: each with the ``physical.*`` counts its construction produced.
+_COROLLARY11_TEMPLATES: dict[
+    tuple[int, PhysicalFactory], tuple[ListLabeler, dict[str, int]]
+] = {}
+
+
+def _corollary11_template(
+    capacity: int, physical_factory: PhysicalFactory
+) -> tuple[ListLabeler, dict[str, int]]:
+    """Build the pristine shard, tallying its physical arrays' counters in a
+    private registry so each clone can report them as a fresh build would."""
+    tally = obs.MetricsRegistry()
+
+    def tallied(num_slots: int):
+        physical = physical_factory(num_slots)
+        physical._bind_obs(tally)
+        return physical
+
+    template = make_corollary11_labeler(
+        capacity, seed=7, physical_factory=tallied
+    )
+    return template, tally.snapshot()["counters"]
+
+
 def _corollary11(capacity: int) -> ListLabeler:
-    return make_corollary11_labeler(capacity, seed=7)
+    """An empty ``corollary11`` shard, deep-copied from a pristine template.
+
+    Building one replays the R-shells' Θ(n) token inserts (~175 ms at
+    capacity 128); the build is deterministic, so every call after the first
+    copies the same empty structure instead (a few ms).  The copy moves
+    exactly as a fresh build would, and the live registry receives the same
+    ``physical.*`` counts.  The template itself is never handed out.  Keying
+    on the physical array class keeps a template built under one
+    interpreter choice from serving another.
+    """
+    physical_factory = default_physical_factory()
+    key = (capacity, physical_factory)
+    entry = _COROLLARY11_TEMPLATES.get(key)
+    if entry is None:
+        # Two threads racing here build two equal templates; either serves.
+        entry = _COROLLARY11_TEMPLATES[key] = _corollary11_template(
+            capacity, physical_factory
+        )
+    template, build_counts = entry
+    shard = copy.deepcopy(template)
+    registry = obs.get_registry()
+    if registry.enabled:
+        for name, amount in build_counts.items():
+            registry.counter(name).inc(amount)
+    return shard
 
 
 #: name -> deterministic ``factory(capacity)`` usable as a store shard.

@@ -10,6 +10,8 @@ contract as the production slab.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.core.exceptions import InvariantViolation
@@ -22,6 +24,7 @@ from repro.core.physical import (
     ReferencePhysicalArray,
 )
 from repro.core.embedding import default_physical_factory
+from repro.core.layered import make_corollary11_labeler
 
 #: Every backend this interpreter can build: the default adds ``vector``
 #: when numpy imports.
@@ -233,3 +236,50 @@ class TestShellReplay:
         assert cost == 1
         assert array.kind(2) == F_SLOT
         assert array.position_of(7) == 2
+
+
+def _state(array):
+    return (
+        array.kinds(),
+        array.slots(),
+        array.f_contents(),
+        array.buffered_element_count,
+        array.total_deadweight_moves,
+    )
+
+
+class TestDeepCopy:
+    """A deep copy is an independent array over its own buffers."""
+
+    def test_copy_is_independent(self, impl):
+        array = build_array("fbbf.f", impl)
+        for position, element in ((0, 10), (1, 20), (2, 30)):
+            array.put_element(position, element)
+        array.chain_move(0, 1)
+        before = _state(array)
+
+        clone = copy.deepcopy(array)
+        assert _state(clone) == before
+        clone.put_element(0, 5)
+        clone.take_element(clone.position_of(30))
+        clone.set_kind(4, BUFFER)
+        clone.check_consistency()
+
+        assert _state(array) == before
+        assert _state(clone) != before
+        array.check_consistency()
+        if impl.name == "vector":
+            import numpy as np
+
+            assert np.shares_memory(clone._masks, clone._mask_buf)
+            assert np.shares_memory(clone._eid, clone._eid_buf)
+            for view, words in zip(clone._words_np, clone._words):
+                assert np.shares_memory(view, words)
+
+    def test_cloned_corollary11_matches_fresh_build(self, impl):
+        template = make_corollary11_labeler(128, seed=7, physical_factory=impl)
+        clone = copy.deepcopy(template)
+        fresh = make_corollary11_labeler(128, seed=7, physical_factory=impl)
+        assert clone.bulk_load(range(96)) == fresh.bulk_load(range(96))
+        assert clone.slots() == fresh.slots()
+        assert template.slots() == (None,) * template.num_slots
