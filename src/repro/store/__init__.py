@@ -24,9 +24,9 @@ into an actual store.  Four layers, bottom up:
   snapshot-consistent range scans, and an optional background compactor;
 * :mod:`repro.store.protocol` / :mod:`repro.store.server` /
   :mod:`repro.store.client` — the **networked front-end**: a
-  length-prefixed JSON wire protocol over the store codec, an asyncio
-  :class:`~repro.store.server.StoreServer` dispatching every command onto
-  the service's striped locks, and a blocking
+  length-prefixed JSON wire protocol over the store codec, a
+  thread-per-connection :class:`~repro.store.server.ServerThread` calling
+  the service directly, under its striped locks, and a blocking
   :class:`~repro.store.client.StoreClient` mirroring the service API;
 * :mod:`repro.store.replica` — **WAL-shipping replication**:
   :class:`~repro.store.replica.Replica` bootstraps from the primary's
@@ -60,7 +60,7 @@ from repro.store.client import ReadOnlyError, StoreClient, StoreClientError
 from repro.store.factories import DEFAULT_ALGORITHM, SHARD_FACTORIES
 from repro.store.protocol import ProtocolError
 from repro.store.replica import Replica
-from repro.store.server import ServerThread, StoreServer
+from repro.store.server import ServerThread
 from repro.store.service import RWLock, StoreService
 from repro.store.snapshot import SnapshotInfo, list_snapshots
 from repro.store.store import DurableStore, RecoveryReport, StoreError
@@ -80,7 +80,6 @@ __all__ = [
     "StoreClient",
     "StoreClientError",
     "StoreError",
-    "StoreServer",
     "StoreService",
     "WALError",
     "WALTruncateReport",

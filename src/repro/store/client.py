@@ -39,7 +39,7 @@ class ReadOnlyError(StoreClientError):
 
 
 class StoreClient:
-    """One blocking connection to a :class:`~repro.store.server.StoreServer`."""
+    """One blocking connection to a :class:`~repro.store.server.ServerThread`."""
 
     def __init__(
         self, host: str, port: int, *, timeout: float | None = 10.0

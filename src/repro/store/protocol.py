@@ -20,10 +20,8 @@ switches the connection into a push stream of ``kind``-tagged messages
 (``frames`` / ``heartbeat`` / ``snapshot`` / ``restart``) flowing
 server→replica, with ``ACK`` messages flowing back.
 
-Both an asyncio flavour (:func:`read_message` / :func:`write_message`,
-used by the server) and a blocking-socket flavour (:func:`recv_message` /
-:func:`send_message`, used by the client and the replica puller) are
-provided over the identical framing.
+The server, the client and the replica puller all speak it over
+blocking sockets, through :func:`recv_message` / :func:`send_message`.
 """
 
 from __future__ import annotations
@@ -82,36 +80,6 @@ def _check_length(length: int) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# asyncio flavour (server side)
-# ---------------------------------------------------------------------------
-async def read_message(reader) -> dict | None:
-    """Read one message; ``None`` on a clean EOF at a frame boundary."""
-    import asyncio
-
-    try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ProtocolError("connection closed inside a length prefix") from None
-    (length,) = _LENGTH.unpack(prefix)
-    _check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed inside a message body") from None
-    return decode_body(body)
-
-
-async def write_message(writer, message: dict) -> None:
-    writer.write(encode_message(message))
-    await writer.drain()
-
-
-# ---------------------------------------------------------------------------
-# blocking-socket flavour (client / replica side)
-# ---------------------------------------------------------------------------
 def _recv_exactly(sock: socket.socket, length: int) -> bytes | None:
     """Read exactly ``length`` bytes; ``None`` on immediate clean EOF."""
     chunks: list[bytes] = []

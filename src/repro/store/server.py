@@ -1,12 +1,13 @@
-"""Asyncio front-end serving a :class:`~repro.store.service.StoreService`.
+"""Thread-per-connection TCP front-end serving a :class:`~repro.store.service.StoreService`.
 
-:class:`StoreServer` listens on a TCP socket and speaks the
-length-prefixed JSON protocol of :mod:`repro.store.protocol`.  Every
-request dispatches the matching ``StoreService`` call on a worker thread
-(``asyncio.to_thread``), so the event loop never blocks on the service's
-locks and concurrent connections genuinely overlap on the striped
-read-write locking the service already provides — the server adds
-networking, not a new concurrency model.
+:class:`ServerThread` listens on a TCP socket and speaks the
+length-prefixed JSON protocol of :mod:`repro.store.protocol` over
+blocking sockets.  An accept thread hands every connection a daemon
+thread of its own, which reads a request, calls the matching
+``StoreService`` method directly and writes the response.  Concurrent
+connections overlap only on the striped read-write locking the service
+already provides — the server adds networking, not a new concurrency
+model.
 
 **Replication.**  A ``REPLICATE`` request flips the connection into a
 push stream.  The server decides how the replica starts:
@@ -23,28 +24,32 @@ would reject is ever shipped), which is what makes a replica's state
 byte-identical by construction.  Live tails push immediately — a WAL
 commit listener wakes every replica feeder — and idle connections get
 heartbeats carrying the primary's last LSN, which is how replicas measure
-their lag.  Replicas acknowledge applied LSNs upstream; the smallest
+their lag.  Replicas acknowledge applied LSNs upstream on a second thread
+per stream, which also notices the replica hanging up; the smallest
 acknowledged LSN across connected replicas becomes the service's
 **compaction retention floor**, so a live replica's catch-up stream never
 loses its tail to a concurrent compaction (a *disconnected* replica holds
 nothing hostage — it re-bootstraps from a snapshot).
 
-:class:`ServerThread` runs the whole event loop on a daemon thread for
-synchronous callers (tests, benchmarks, the CLI smoke command).
+``stop()`` cannot hang on a peer: it closes the listener, shuts down
+every open connection (waking threads parked in ``recv`` or in a
+``sendall`` to a replica that stopped reading), wakes every feeder and
+joins the connection threads.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
 import threading
+import time
 from typing import Callable
 
 from repro import obs
 from repro.store.protocol import (
     OversizedFrameError,
     ProtocolError,
-    read_message,
-    write_message,
+    recv_message,
+    send_message,
 )
 from repro.store.service import StoreService
 
@@ -60,12 +65,20 @@ PAGE_SIZE_LIMIT = 4096
 _MISSING = object()
 
 
-class StoreServer:
-    """Serve one :class:`StoreService` over TCP.
+class ServerThread:
+    """Serve one :class:`StoreService` over TCP, one thread per connection.
 
-    ``read_only=True`` (a replica serving read traffic) rejects every
-    mutating command with the ``read_only`` error code; flipping the
-    attribute to ``False`` is how a promotion opens the write path.
+    The entry point tests, benchmarks and the CLI use::
+
+        with ServerThread(service) as server:
+            client = StoreClient(*server.address)
+            ...
+
+    ``start()`` binds the socket before it returns; exiting the context
+    stops the server and joins its threads.  ``read_only=True`` (a
+    replica serving read traffic) rejects every mutating command with the
+    ``read_only`` error code; flipping the attribute to ``False`` is how a
+    promotion opens the write path.
     """
 
     def __init__(
@@ -80,12 +93,16 @@ class StoreServer:
         self._host = host
         self._port = port
         self.read_only = read_only
-        self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        #: Per-replica-connection state: {id: {"event", "acked"}}.
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        self._stopping = False
+        #: Guards the two tables below, which connection threads mutate.
+        self._lock = threading.Lock()
+        #: Open connection sockets and the threads serving them.
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        #: Per-replica-connection state: {id: {"event", "acked", "closed"}}.
         self._replicas: dict[int, dict] = {}
         self._next_replica_id = 0
-        self._commit_listener: Callable[[int], None] | None = None
         self._registry = service.registry
         self._obs_connections = self._registry.counter("server.connections")
         self._obs_requests = self._registry.counter("server.requests")
@@ -120,98 +137,142 @@ class StoreServer:
     @property
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)`` (resolves ``port=0`` after start)."""
-        if self._server is None:
+        if self._listener is None:
             raise RuntimeError("server is not running")
-        return self._server.sockets[0].getsockname()[:2]
+        return self._listener.getsockname()[:2]
 
     @property
     def replica_count(self) -> int:
         """Connected replication streams."""
         return len(self._replicas)
 
+    def replica_acks(self) -> list[int]:
+        """The LSN each connected replica has acknowledged, ascending."""
+        with self._lock:
+            return sorted(entry["acked"] for entry in self._replicas.values())
+
     def replication_floor(self) -> int | None:
         """Smallest LSN acknowledged by every connected replica."""
-        acks = [entry["acked"] for entry in self._replicas.values()]
-        return min(acks) if acks else None
+        acks = self.replica_acks()
+        return acks[0] if acks else None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        if self._server is not None:
+    def start(self) -> "ServerThread":
+        if self._listener is not None:
             raise RuntimeError("server already started")
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
-        )
-        loop = self._loop
-
-        def on_commit(lsn: int) -> None:
-            # Runs on whatever thread appended the frame; hop into the
-            # loop to wake every replica feeder.
-            loop.call_soon_threadsafe(self._wake_replicas)
-
-        self._commit_listener = on_commit
-        self._service.add_commit_listener(on_commit)
+        self._listener = socket.create_server((self._host, self._port))
+        self._stopping = False
+        self._service.add_commit_listener(self._wake_replicas)
         self._service.set_compaction_retainer(self.replication_floor)
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop,
+            args=(self._listener,),
+            name="repro-store-server",
+            daemon=True,
+        )
+        self._accept_thread.start()
+        return self
 
-    async def stop(self) -> None:
-        if self._server is None:
+    def stop(self) -> None:
+        listener = self._listener
+        if listener is None:
             return
-        if self._commit_listener is not None:
-            self._service.remove_commit_listener(self._commit_listener)
-            self._commit_listener = None
+        self._service.remove_commit_listener(self._wake_replicas)
         self._service.set_compaction_retainer(None)
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+        self._stopping = True
+        try:
+            # Wakes the accept thread parked in accept() (close alone
+            # does not, on Linux).
+            listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        listener.close()
+        self._accept_thread.join()
+        with self._lock:
+            connections = dict(self._connections)
+        for conn in connections:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already hung up
         self._wake_replicas()
+        for thread in connections.values():
+            thread.join()
+        self._listener = None
 
-    def _wake_replicas(self) -> None:
-        for entry in self._replicas.values():
-            entry["event"].set()
+    def __enter__(self) -> "ServerThread":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
+
+    def _wake_replicas(self, lsn: int | None = None) -> None:
+        """Wake every replica feeder (the WAL commit listener, on the
+        thread that appended frame ``lsn``)."""
+        with self._lock:
+            for entry in self._replicas.values():
+                entry["event"].set()
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                if self._stopping:
+                    return
+                # A peer reset before accept, or descriptors ran out:
+                # back off briefly rather than spin, then keep serving.
+                time.sleep(0.01)
+                continue
+            thread = threading.Thread(
+                target=self._serve_connection,
+                args=(conn,),
+                name="repro-store-connection",
+                daemon=True,
+            )
+            with self._lock:
+                self._connections[conn] = thread
+            thread.start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
         self._obs_connections.inc()
         try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
-                try:
-                    request = await read_message(reader)
-                except OversizedFrameError:
-                    self._count_error("oversized_frame")
-                    break
-                except ProtocolError:
-                    self._count_error("protocol")
-                    break
+                request = recv_message(conn)
                 if request is None:
                     break
                 cmd = request.get("cmd")
                 if cmd == "REPLICATE":
-                    await self._serve_replication(request, reader, writer)
+                    self._serve_replication(request, conn)
                     break
-                response = await self._dispatch(cmd, request)
-                await write_message(writer, response)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+                send_message(conn, self._dispatch(cmd, request))
+        except OversizedFrameError:
+            self._count_error("oversized_frame")
+        except ProtocolError:
+            if not self._stopping:  # stop() cuts half-sent frames short
+                self._count_error("protocol")
+        except OSError:
+            pass  # the peer hung up, or stop() shut the socket down
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                # Loop shutdown cancels handler tasks mid-wait_closed; the
-                # connection is already closed, so ending normally keeps
-                # asyncio's stream callbacks from logging the cancellation.
-                pass
+            with self._lock:
+                self._connections.pop(conn, None)
+            conn.close()
 
-    async def _dispatch(self, cmd, request: dict) -> dict:
+    def _dispatch(self, cmd, request: dict) -> dict:
         self._obs_requests.inc()
+        if not isinstance(cmd, str):
+            self._count_error("bad_command")
+            return _error("bad_request", f"unknown command {cmd!r}")
         server_handler = _SERVER_HANDLERS.get(cmd)
         if server_handler is not None:
             try:
-                return await asyncio.to_thread(server_handler, self, request)
+                return server_handler(self, request)
             except Exception as error:
                 self._count_error("server_error")
                 return _error("server_error", f"{type(error).__name__}: {error}")
@@ -225,7 +286,7 @@ class StoreServer:
                 "read_only", "this server is a replica; writes go to the primary"
             )
         try:
-            return await asyncio.to_thread(handler, self._service, request)
+            return handler(self._service, request)
         except KeyError as error:
             self._count_error("not_found")
             return _error("not_found", f"key not found: {error.args[0]!r}")
@@ -239,12 +300,12 @@ class StoreServer:
     # ------------------------------------------------------------------
     # Replication stream
     # ------------------------------------------------------------------
-    async def _serve_replication(self, request, reader, writer) -> None:
+    def _serve_replication(self, request: dict, conn: socket.socket) -> None:
         store = self._service.store
         after = int(request.get("after", -1))
         if after > store.last_lsn:
-            await write_message(
-                writer,
+            send_message(
+                conn,
                 _error(
                     "bad_request",
                     f"replica is ahead of this primary "
@@ -253,31 +314,27 @@ class StoreServer:
             )
             return
 
-        replica_id = self._next_replica_id
-        self._next_replica_id += 1
-        entry = {"event": asyncio.Event(), "acked": max(after, 0)}
+        entry = {"event": threading.Event(), "acked": max(after, 0), "closed": False}
         # Registered before any horizon decision: from here on compaction
         # retains frames past the replica's cursor.
-        self._replicas[replica_id] = entry
+        with self._lock:
+            replica_id = self._next_replica_id
+            self._next_replica_id += 1
+            self._replicas[replica_id] = entry
         try:
-            horizon = await asyncio.to_thread(
-                lambda: self._service.durable_horizon
-            )
             bootstrap = None
-            if after < horizon or after < 0:
+            if after < self._service.durable_horizon or after < 0:
                 # The log alone cannot (or, for a brand-new replica with
                 # no config, should not) carry the replica to the present:
                 # bootstrap from the newest checkpoint.
-                lsn, files = await asyncio.to_thread(
-                    self._service.snapshot_archive
-                )
+                lsn, files = self._service.snapshot_archive()
                 bootstrap = {"kind": "snapshot", "lsn": lsn, "files": files}
                 start = max(after, lsn)
             else:
                 start = after
             entry["acked"] = max(entry["acked"], start)
-            await write_message(
-                writer,
+            send_message(
+                conn,
                 {
                     "ok": True,
                     "mode": "snapshot" if bootstrap is not None else "frames",
@@ -288,67 +345,71 @@ class StoreServer:
                 },
             )
             if bootstrap is not None:
-                await write_message(writer, bootstrap)
+                send_message(conn, bootstrap)
                 start = bootstrap["lsn"]
 
             # The ACK reader doubles as the disconnect detector: the
-            # moment the replica's socket EOFs, the race completes and
-            # the feeder is cancelled — so a dead replica stops pinning
-            # the compaction retention floor immediately, not at the
-            # next failed heartbeat write.
-            ack_task = asyncio.create_task(self._consume_acks(reader, entry))
-            feed_task = asyncio.create_task(
-                self._feed_frames(writer, entry, start)
+            # moment the replica's socket EOFs it stops the feeder — so a
+            # dead replica stops pinning the compaction retention floor
+            # immediately, not at the next failed heartbeat write.
+            acks = threading.Thread(
+                target=self._consume_acks,
+                args=(conn, entry),
+                name="repro-store-replica-acks",
+                daemon=True,
             )
-            await asyncio.wait(
-                {ack_task, feed_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in (ack_task, feed_task):
-                task.cancel()
-            # Retrieve both outcomes (gather, not result(), so a failure
-            # in one never leaves the other's exception unretrieved).
-            outcomes = await asyncio.gather(
-                ack_task, feed_task, return_exceptions=True
-            )
-            for outcome in outcomes:
-                if isinstance(outcome, BaseException) and not isinstance(
-                    outcome, asyncio.CancelledError
-                ):
-                    raise outcome
-        except (ConnectionError, ProtocolError, OSError):
+            acks.start()
+            try:
+                self._feed_frames(conn, entry, start)
+            finally:
+                try:
+                    # Unblocks the ACK reader once the feeder is done.
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                acks.join()
+        finally:
+            with self._lock:
+                self._replicas.pop(replica_id, None)
+
+    def _consume_acks(self, conn: socket.socket, entry: dict) -> None:
+        try:
+            while (message := recv_message(conn)) is not None:
+                if message.get("cmd") == "ACK":
+                    entry["acked"] = max(entry["acked"], int(message["lsn"]))
+        except (ProtocolError, OSError):
             pass
         finally:
-            self._replicas.pop(replica_id, None)
+            entry["closed"] = True
+            entry["event"].set()
 
-    async def _consume_acks(self, reader, entry: dict) -> None:
-        while True:
-            message = await read_message(reader)
-            if message is None:
-                return
-            if message.get("cmd") == "ACK":
-                entry["acked"] = max(entry["acked"], int(message["lsn"]))
-
-    async def _feed_frames(self, writer, entry: dict, start: int) -> None:
+    def _feed_frames(self, conn: socket.socket, entry: dict, start: int) -> None:
         service = self._service
+        event = entry["event"]
         cursor = start
         offset = 0
         epoch: int | None = None
-        while self._server is not None:
-            frames, offset, epoch = await asyncio.to_thread(
-                service.ship_frames, cursor, offset=offset, epoch=epoch
+        while True:
+            # Cleared before looking for frames, so a commit landing
+            # after the look wakes the wait below at once.
+            event.clear()
+            if entry["closed"] or self._stopping:
+                return
+            frames, offset, epoch = service.ship_frames(
+                cursor, offset=offset, epoch=epoch
             )
             if frames and frames[0][0] != cursor + 1:
                 # Compaction won a race and dropped the replica's tail
                 # (possible only in the window before its first ACK):
                 # tell it to reconnect — the handshake will send a
                 # snapshot covering the gap.
-                await write_message(writer, {"kind": "restart"})
+                send_message(conn, {"kind": "restart"})
                 return
             if frames:
                 for index in range(0, len(frames), SHIP_CHUNK):
                     chunk = frames[index : index + SHIP_CHUNK]
-                    await write_message(
-                        writer,
+                    send_message(
+                        conn,
                         {
                             "kind": "frames",
                             "frames": [line for _, line in chunk],
@@ -356,24 +417,15 @@ class StoreServer:
                         },
                     )
                 cursor = frames[-1][0]
-                continue
-            entry["event"].clear()
-            try:
-                await asyncio.wait_for(
-                    entry["event"].wait(), timeout=HEARTBEAT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                await write_message(
-                    writer,
-                    {
-                        "kind": "heartbeat",
-                        "primary_lsn": service.store.last_lsn,
-                    },
+            elif not event.wait(HEARTBEAT_SECONDS):
+                send_message(
+                    conn,
+                    {"kind": "heartbeat", "primary_lsn": service.store.last_lsn},
                 )
 
 
 # ---------------------------------------------------------------------------
-# Request handlers (run on worker threads via asyncio.to_thread)
+# Request handlers (run on the connection's thread)
 # ---------------------------------------------------------------------------
 def _error(code: str, message: str) -> dict:
     return {"ok": False, "code": code, "error": message}
@@ -473,7 +525,7 @@ def _handle_verify(service: StoreService, request: dict) -> dict:
     return {"ok": True, "report": service.verify()}
 
 
-def _handle_stats(server: "StoreServer", request: dict) -> dict:
+def _handle_stats(server: "ServerThread", request: dict) -> dict:
     """Enriched STATS: durability, compactor health, replication, shards.
 
     Runs as a *server* handler (not a service handler) so it can read the
@@ -482,7 +534,7 @@ def _handle_stats(server: "StoreServer", request: dict) -> dict:
     service = server.service
     store = service.store
     error = service.last_compactor_error
-    acks = sorted(entry["acked"] for entry in server._replicas.values())
+    acks = server.replica_acks()
     return {
         "ok": True,
         "last_lsn": store.last_lsn,
@@ -495,14 +547,14 @@ def _handle_stats(server: "StoreServer", request: dict) -> dict:
         ),
         "replica_count": server.replica_count,
         "replica_acks": acks,
-        "replication_floor": server.replication_floor(),
+        "replication_floor": acks[0] if acks else None,
         "shard_statistics": service.shard_statistics(),
         "physical_backend": service.physical_backend,
         "error_counts": server.error_counts(),
     }
 
 
-def _handle_metrics(server: "StoreServer", request: dict) -> dict:
+def _handle_metrics(server: "ServerThread", request: dict) -> dict:
     """Whole-process metrics: snapshot, Prometheus text, slow-op traces."""
     registry = server.registry
     snapshot = registry.snapshot()
@@ -532,93 +584,9 @@ _HANDLERS: dict[str, Callable[[StoreService, dict], dict]] = {
 
 #: Handlers that need the *server* (replica acks, error counters, the
 #: registry) rather than just the service; checked before ``_HANDLERS``.
-_SERVER_HANDLERS: dict[str, Callable[["StoreServer", dict], dict]] = {
+_SERVER_HANDLERS: dict[str, Callable[["ServerThread", dict], dict]] = {
     "STATS": _handle_stats,
     "METRICS": _handle_metrics,
 }
 
 _MUTATING = frozenset({"PUT", "DELETE", "PUT_MANY", "DELETE_MANY"})
-
-
-# ---------------------------------------------------------------------------
-# Synchronous wrapper: the event loop on a daemon thread
-# ---------------------------------------------------------------------------
-class ServerThread:
-    """Run a :class:`StoreServer` on a background event-loop thread.
-
-    The synchronous entry point tests, benchmarks and the CLI use::
-
-        with ServerThread(service) as server:
-            client = StoreClient(*server.address)
-            ...
-
-    ``address`` blocks until the socket is bound; exiting the context
-    stops the server and joins the thread.
-    """
-
-    def __init__(
-        self,
-        service: StoreService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        read_only: bool = False,
-    ) -> None:
-        self.server = StoreServer(service, host, port, read_only=read_only)
-        self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._failure: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="repro-store-server", daemon=True
-        )
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                await self.server.start()
-            except BaseException as error:
-                self._failure = error
-                self._ready.set()
-                return
-            self._ready.set()
-            await self._stop.wait()
-            await self.server.stop()
-
-        asyncio.run(main())
-
-    def start(self) -> "ServerThread":
-        self._thread.start()
-        self._ready.wait()
-        if self._failure is not None:
-            raise self._failure
-        return self
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server.address
-
-    @property
-    def replica_count(self) -> int:
-        return self.server.replica_count
-
-    @property
-    def read_only(self) -> bool:
-        return self.server.read_only
-
-    @read_only.setter
-    def read_only(self, value: bool) -> None:
-        self.server.read_only = value
-
-    def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join()
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

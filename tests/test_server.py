@@ -6,7 +6,9 @@ Four walls:
   oversized and truncated messages instead of misreading them.
 * **Serving** — every command works over the wire; errors come back typed
   (``KeyError`` parity with the local API, ``ReadOnlyError`` on replica
-  writes); concurrent clients with disjoint key ranges merge exactly.
+  writes); concurrent clients with disjoint key ranges merge exactly; a
+  stalled connection delays no other, ``stop()`` returns whatever its
+  peers are doing, and connection threads are reclaimed.
 * **Replication convergence** — a seeded mixed workload runs on the
   primary while a replica streams; the replica is killed at parametrized
   points (mid-stream, mid-catch-up, behind a compaction horizon),
@@ -21,12 +23,14 @@ Four walls:
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.store import codec
 from repro.store.client import ReadOnlyError, StoreClient, StoreClientError
 from repro.store.harness import apply_to_store, fingerprint, make_ops, state_digest
@@ -173,6 +177,15 @@ class TestStoreServer:
             with pytest.raises(StoreClientError, match="page_size"):
                 client._call("SCAN_PAGES", page_size=0)
 
+    def test_non_string_command_is_a_bad_request(self, primary):
+        """An unhashable ``cmd`` is refused like any unknown command, and
+        the connection keeps serving."""
+        _, server = primary
+        with StoreClient(*server.address) as client:
+            with pytest.raises(StoreClientError, match="unknown command"):
+                client._call(["GET"])
+            assert client.ping() == 0
+
     def test_values_survive_the_wire_exactly(self, primary):
         from fractions import Fraction
 
@@ -246,6 +259,111 @@ class TestStoreServer:
             assert "ahead" in response["error"]
         finally:
             sock.close()
+
+
+class TestConnectionThreads:
+    def test_stop_returns_despite_idle_half_sent_and_replica_peers(self, tmp_path):
+        store = DurableStore(tmp_path / "s", sync_policy="never")
+        service = StoreService(store, registry=MetricsRegistry())
+        server = ServerThread(service).start()
+        idle = socket.create_connection(server.address, timeout=5)
+        half = socket.create_connection(server.address, timeout=5)
+        replica = socket.create_connection(server.address, timeout=5)
+        try:
+            # A served PING on each proves its thread is parked in recv.
+            for sock in (idle, half):
+                send_message(sock, {"cmd": "PING"})
+                assert recv_message(sock)["ok"]
+            framed = encode_message({"cmd": "PING"})
+            half.sendall(framed[: len(framed) // 2])
+            send_message(replica, {"cmd": "REPLICATE", "after": 0})
+            assert recv_message(replica)["mode"] == "frames"
+            wait_for(lambda: server.replica_count == 1, message="replica stream")
+
+            stopper = threading.Thread(target=server.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive(), "stop() hung on a connected peer"
+            for sock in (idle, half):
+                try:
+                    assert sock.recv(1) == b""
+                except OSError:
+                    pass
+            assert server.replica_count == 0
+            # Frames cut short by stop() are not the peers' protocol errors.
+            assert server.error_counts() == {}
+        finally:
+            for sock in (idle, half, replica):
+                sock.close()
+            service.close()
+
+    def test_half_sent_frame_does_not_delay_another_connection(self, primary):
+        service, server = primary
+        service.put("k", 1)
+        stalled = socket.create_connection(server.address, timeout=5)
+        try:
+            framed = encode_message({"cmd": "GET", "key": "k"})
+            stalled.sendall(framed[:-2])
+            with StoreClient(*server.address, timeout=5) as client:
+                started = time.monotonic()
+                assert client.get("k") == 1
+                assert time.monotonic() - started < 2.0
+            stalled.sendall(framed[-2:])
+            assert recv_message(stalled)["value"] == 1
+        finally:
+            stalled.close()
+
+    def test_connection_threads_are_reclaimed(self, primary):
+        _, server = primary
+        before = threading.active_count()
+        for _ in range(50):
+            with StoreClient(*server.address) as client:
+                client.ping()
+        wait_for(
+            lambda: threading.active_count() <= before,
+            message="connection threads to exit",
+        )
+
+    def test_connection_churn_across_threads_leaves_no_entry(self, primary):
+        """More connecting threads than cores, with a shortened switch
+        interval: a lost update to the server's connection table would
+        leave an entry (and a socket) behind."""
+        _, server = primary
+        before = threading.active_count()
+        errors: list[BaseException] = []
+
+        def churn() -> None:
+            try:
+                for _ in range(25):
+                    with StoreClient(*server.address) as client:
+                        client.ping()
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+        wait_for(
+            lambda: not server._connections
+            and threading.active_count() <= before,
+            message="every connection to be reclaimed",
+        )
+
+    def test_connections_disable_nagle(self, primary):
+        _, server = primary
+        with StoreClient(*server.address) as client:
+            client.ping()
+            (conn,) = server._connections
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 # ---------------------------------------------------------------------------
